@@ -37,6 +37,7 @@ from repro.bench.suite import BENCHMARKS, get_benchmark
 from repro.core import presets
 from repro.core.parameters import SimulationParameters
 from repro.core.pipeline import extrapolate, measure
+from repro.core.predict import PredictRequest
 from repro.des import SimulationStalled
 from repro.experiments.runner import EXPERIMENTS, run_experiment
 from repro.faults import load_fault_plan
@@ -47,6 +48,14 @@ from repro.util.atomic import atomic_write_text
 from repro.util.log import get_logger, level_from_verbosity, setup_logging
 
 log = get_logger("cli")
+
+#: how the CLI spells each prediction-request field in error messages
+_REQUEST_FLAGS = {
+    "sample": "--sample",
+    "observe": "--timeline",
+    "profile": "--profile",
+    "wall_budget": "--wall-budget",
+}
 
 #: exit code for missing/unreadable input files (argparse uses 2 for
 #: usage errors; we match it — the shell convention for "bad invocation")
@@ -143,7 +152,8 @@ def _apply_overrides(params: SimulationParameters, sets: List[str]) -> Simulatio
 
 
 def _resolve_params(args):
-    """``(preset + --set overrides, None)`` or ``(None, error message)``.
+    """``(preset + --set overrides + any --faults plan, None)`` or
+    ``(None, error message)``.
 
     Unknown presets and unknown/misspelled override fields both land
     here as :class:`ValueError` (with did-you-mean hints) instead of
@@ -151,9 +161,28 @@ def _resolve_params(args):
     """
     try:
         params = presets.by_name(args.preset)
-        return _apply_overrides(params, args.set or []), None
+        params = _apply_overrides(params, args.set or [])
     except ValueError as exc:
         return None, str(exc)
+    return _load_faults(args, params)
+
+
+def _add_param_flags(
+    parser: argparse.ArgumentParser,
+    faults_help: str = "inject faults from a FaultPlan JSON file "
+    "(see docs/ROBUSTNESS.md)",
+) -> None:
+    """The target-environment flags :func:`_resolve_params` reads."""
+    parser.add_argument("--preset", default="distributed_memory")
+    parser.add_argument(
+        "--set",
+        action="append",
+        metavar="group.field=value",
+        help="override a parameter, e.g. processor.mips_ratio=0.5",
+    )
+    parser.add_argument(
+        "--faults", default=None, metavar="PLAN.json", help=faults_help
+    )
 
 
 def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
@@ -188,21 +217,15 @@ def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _sampling_config(args):
-    """``(SamplingConfig from the knob flags, None)`` or ``(None, error)``."""
+    """SamplingConfig from the knob flags; ValueError on a bad one."""
     from repro.sampling import SamplingConfig
 
-    try:
-        return (
-            SamplingConfig(
-                max_phases=args.max_phases,
-                interval_events=args.interval_events,
-                seed=args.sample_seed,
-                mode=args.sample_mode,
-            ),
-            None,
-        )
-    except ValueError as exc:
-        return None, str(exc)
+    return SamplingConfig(
+        max_phases=args.max_phases,
+        interval_events=args.interval_events,
+        seed=args.sample_seed,
+        mode=args.sample_mode,
+    )
 
 
 def cmd_list(_args) -> int:
@@ -240,71 +263,36 @@ def cmd_trace(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    from repro.metrics.report import predict_summary
-
     trace, problem = _load_trace(args.trace)
     if problem:
         return _input_error(problem)
     params, problem = _resolve_params(args)
     if problem:
         return _input_error(problem)
-    params, problem = _load_faults(args, params)
-    if problem:
-        return _input_error(problem)
-    if args.wall_budget is not None and args.wall_budget <= 0:
-        return _input_error(
-            f"--wall-budget must be > 0, got {args.wall_budget}"
-        )
-    if args.sample:
-        from repro.sampling import estimate_sampled, sampling_section
-
-        if args.timeline is not None:
-            return _input_error(
-                "--timeline records a full simulation; it cannot be "
-                "combined with --sample (drop one of the two)"
-            )
-        if args.profile:
-            return _input_error(
-                "--profile instruments a full simulation; it cannot be "
-                "combined with --sample (drop one of the two)"
-            )
-        config, problem = _sampling_config(args)
-        if problem:
-            return _input_error(problem)
-        log.info(
-            "sampled extrapolation of %s to %s",
-            args.trace, params.name or args.preset,
-        )
-        try:
-            outcome = estimate_sampled(
-                trace, params, config, wall_clock_budget=args.wall_budget
-            )
-        except SimulationStalled as exc:
-            return _input_error(str(exc))
-        except ValueError as exc:
-            return _input_error(str(exc))
-        print(predict_summary(params, outcome))
-        print(sampling_section(outcome.result))
-        return 0
     log.info(
-        "extrapolating %s to %s", args.trace, params.name or args.preset
+        "extrapolating %s to %s%s", args.trace, params.name or args.preset,
+        " (sampled)" if args.sample else "",
     )
     try:
-        outcome = extrapolate(
-            trace,
-            params,
-            profile=args.profile,
+        request = PredictRequest(
+            sample=_sampling_config(args) if args.sample else None,
             observe=args.timeline is not None,
-            wall_clock_budget=args.wall_budget,
+            profile=args.profile,
+            report=True,
+            wall_budget=args.wall_budget,
         )
-    except SimulationStalled as exc:
+        request.validate(_REQUEST_FLAGS)
+        prediction = request.run(trace, params)
+    except (SimulationStalled, ValueError) as exc:
         return _input_error(str(exc))
-    print(predict_summary(params, outcome))
+    print(prediction.payload["report"])
     if args.timeline is not None:
         from repro.obs.export import write_chrome_trace
 
         try:
-            path = write_chrome_trace(outcome.result.timeline, args.timeline)
+            path = write_chrome_trace(
+                prediction.outcome.result.timeline, args.timeline
+            )
         except OSError as exc:
             return _input_error(
                 f"cannot write timeline to {args.timeline}: {exc}"
@@ -388,9 +376,6 @@ def cmd_report(args) -> int:
     params, problem = _resolve_params(args)
     if problem:
         return _input_error(problem)
-    params, problem = _load_faults(args, params)
-    if problem:
-        return _input_error(problem)
     try:
         outcome = extrapolate(trace, params, profile=args.profile)
     except SimulationStalled as exc:
@@ -423,28 +408,19 @@ def cmd_validate(args) -> int:
     if args.sample_report:
         from repro.sampling import sample_report
 
-        config, problem = _sampling_config(args)
-        if problem:
-            return _input_error(problem)
         try:
-            print(sample_report(trace, config))
+            print(sample_report(trace, _sampling_config(args)))
         except ValueError as exc:
             return _input_error(str(exc))
     if not args.diagnose:
         return 0
-    from repro.diagnose import diagnose
-
     params, problem = _resolve_params(args)
     if problem:
         return _input_error(problem)
-    params, problem = _load_faults(args, params)
-    if problem:
-        return _input_error(problem)
     try:
-        outcome = extrapolate(trace, params, observe=True)
-    except SimulationStalled as exc:
+        report = PredictRequest(diagnose=True).run(trace, params).diagnosis
+    except (SimulationStalled, ValueError) as exc:
         return _input_error(str(exc))
-    report = diagnose(outcome.result.timeline)
     if args.json:
         sys.stdout.write(report.to_json())
     else:
@@ -650,10 +626,10 @@ def cmd_sweep(args) -> int:
         return _input_error(f"--jobs must be >= 1, got {args.jobs}")
     if args.retries < 0:
         return _input_error(f"--retries must be >= 0, got {args.retries}")
-    if args.wall_budget is not None and args.wall_budget <= 0:
-        return _input_error(
-            f"--wall-budget must be > 0, got {args.wall_budget}"
-        )
+    try:
+        PredictRequest(wall_budget=args.wall_budget).validate(_REQUEST_FLAGS)
+    except ValueError as exc:
+        return _input_error(str(exc))
     problem = _require_file(args.spec, "sweep spec")
     if problem:
         return _input_error(problem)
@@ -714,10 +690,12 @@ def cmd_serve(args) -> int:
         return _input_error(f"--workers must be >= 1, got {args.workers}")
     if args.jobs < 1:
         return _input_error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.max_wall_budget is not None and args.max_wall_budget <= 0:
-        return _input_error(
-            f"--max-wall-budget must be > 0, got {args.max_wall_budget}"
+    try:
+        PredictRequest(wall_budget=args.max_wall_budget).validate(
+            {"wall_budget": "--max-wall-budget"}
         )
+    except ValueError as exc:
+        return _input_error(str(exc))
     if args.rate_limit is not None and args.rate_limit <= 0:
         return _input_error(f"--rate-limit must be > 0, got {args.rate_limit}")
     if args.rate_burst is not None and args.rate_burst < 1:
@@ -783,13 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="extrapolate a trace to a target environment")
     p.add_argument("trace", help="trace file from 'extrap trace'")
-    p.add_argument("--preset", default="distributed_memory")
-    p.add_argument(
-        "--set",
-        action="append",
-        metavar="group.field=value",
-        help="override a parameter, e.g. processor.mips_ratio=0.5",
-    )
+    _add_param_flags(p)
     p.add_argument(
         "--profile",
         action="store_true",
@@ -801,13 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="record the simulated execution and write a Perfetto-loadable "
         "Chrome trace-event JSON here (explore with 'extrap timeline')",
-    )
-    p.add_argument(
-        "--faults",
-        default=None,
-        metavar="PLAN.json",
-        help="inject faults from a FaultPlan JSON file "
-        "(see docs/ROBUSTNESS.md)",
     )
     p.add_argument(
         "--wall-budget",
@@ -873,18 +838,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("report", help="full debugging report for a trace")
     r.add_argument("trace", help="trace file from 'extrap trace'")
-    r.add_argument("--preset", default="distributed_memory")
-    r.add_argument("--set", action="append", metavar="group.field=value")
+    _add_param_flags(r)
     r.add_argument(
         "--profile",
         action="store_true",
         help="include the engine profile section in the report",
-    )
-    r.add_argument(
-        "--faults",
-        default=None,
-        metavar="PLAN.json",
-        help="inject faults from a FaultPlan JSON file",
     )
 
     va = sub.add_parser(
@@ -903,20 +861,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="also extrapolate the trace and report performance "
         "anomalies (see docs/DIAGNOSE.md)",
     )
-    va.add_argument("--preset", default="distributed_memory")
-    va.add_argument(
-        "--set",
-        action="append",
-        metavar="group.field=value",
-        help="override a parameter for the --diagnose extrapolation",
-    )
-    va.add_argument(
-        "--faults",
-        default=None,
-        metavar="PLAN.json",
-        help="inject faults from a FaultPlan JSON file before "
-        "diagnosing (a detector self-check: the plan's anomalies "
-        "must be flagged)",
+    _add_param_flags(
+        va,
+        "with --diagnose: inject faults from a FaultPlan JSON file (a "
+        "detector self-check: the plan's anomalies must be flagged)",
     )
     va.add_argument(
         "--json",

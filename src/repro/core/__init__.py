@@ -10,7 +10,9 @@ The pipeline (paper Figure 2):
    under a target-environment :class:`SimulationParameters`;
 4. analyse — :mod:`repro.metrics` derives predicted performance metrics.
 
-:mod:`repro.core.pipeline` wires the four stages into one call.
+:mod:`repro.core.pipeline` wires the four stages into one call;
+:mod:`repro.core.predict` is the one prediction path the CLI, sweeps and
+serve share on top of it.
 """
 
 from repro.core.parameters import (

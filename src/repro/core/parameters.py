@@ -12,6 +12,7 @@ parameter set of Table 3 is available in :mod:`repro.core.presets`.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional
 
@@ -72,13 +73,13 @@ class BarrierAlgorithm(enum.Enum):
 
 
 def _require_nonneg(name: str, value: float) -> None:
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 def _require_pos(name: str, value: float) -> None:
-    if value <= 0:
-        raise ValueError(f"{name} must be > 0, got {value}")
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,26 @@ from repro.trace.trace import Trace
 ProgramFactory = Callable[[TracingRuntime], "Sequence[ThreadBody] | ThreadBody"]
 
 
+class Outcome:
+    """The interface reports and result records read, full or sampled."""
+
+    trace: Trace
+    trace_stats: TraceStats
+    result: SimulationResult
+
+    @property
+    def predicted_time(self) -> float:
+        """Predicted n-processor execution time (microseconds)."""
+        return self.result.execution_time
+
+    @property
+    def ideal_time(self) -> float:
+        """Execution time under zero-cost communication/synchronisation."""
+        raise NotImplementedError
+
+
 @dataclass
-class ExtrapolationOutcome:
+class ExtrapolationOutcome(Outcome):
     """Everything produced by one extrapolation run."""
 
     #: merged trace measured in the 1-processor environment (PI1)
@@ -39,13 +57,7 @@ class ExtrapolationOutcome:
     result: SimulationResult
 
     @property
-    def predicted_time(self) -> float:
-        """Predicted n-processor execution time (microseconds)."""
-        return self.result.execution_time
-
-    @property
     def ideal_time(self) -> float:
-        """Execution time under zero-cost communication/synchronisation."""
         return self.translated.ideal_execution_time()
 
 

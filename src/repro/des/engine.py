@@ -18,6 +18,7 @@ the feature when it is off (one ``is None`` test per drain).
 
 from __future__ import annotations
 
+import math
 import time
 from heapq import heappop, heappush
 from typing import Any, Generator, Iterable, List, Optional, Sequence, Tuple
@@ -80,9 +81,12 @@ class Watchdog:
         stall_event_window: int = 2_000_000,
         check_interval: int = 250_000,
     ):
-        if wall_clock_budget is not None and wall_clock_budget <= 0:
+        if wall_clock_budget is not None and not (
+            math.isfinite(wall_clock_budget) and wall_clock_budget > 0
+        ):
             raise ValueError(
-                f"wall_clock_budget must be > 0, got {wall_clock_budget}"
+                f"wall_clock_budget must be finite and > 0, got "
+                f"{wall_clock_budget}"
             )
         if stall_event_window <= 0 or check_interval <= 0:
             raise ValueError("watchdog windows must be > 0")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.core.pipeline import ExtrapolationOutcome
+from repro.core.pipeline import ExtrapolationOutcome, Outcome
 from repro.sim.result import SimulationResult
 from repro.trace.events import EventKind
 from repro.trace.trace import ThreadTrace
@@ -172,7 +172,7 @@ def profile_section(result: SimulationResult) -> str:
     return result.profile.format()
 
 
-def predict_summary(params, outcome: ExtrapolationOutcome) -> str:
+def predict_summary(params, outcome: Outcome) -> str:
     """The canonical ``extrap predict`` report.
 
     Single source of the prediction text: the CLI prints exactly this,

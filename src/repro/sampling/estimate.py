@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.core.pipeline import ExtrapolationOutcome, extrapolate
+from repro.core.pipeline import ExtrapolationOutcome, Outcome, extrapolate
 from repro.sampling.cluster import SamplingPlan, build_plan
 from repro.sampling.config import SamplingConfig
 from repro.sampling.intervals import Interval, IntervalSplit, split_trace
@@ -96,13 +96,12 @@ def representative_trace(meta: TraceMeta, interval: Interval) -> Trace:
 
 
 @dataclass
-class SampledOutcome:
+class SampledOutcome(Outcome):
     """Sampled counterpart of :class:`ExtrapolationOutcome`.
 
-    Duck-types the attributes reporting code reads (``trace``,
-    ``trace_stats``, ``result``, ``predicted_time``, ``ideal_time``) so
-    :func:`repro.metrics.report.predict_summary` works unchanged, while
-    carrying the sampling plan and the per-representative outcomes for
+    Shares the :class:`~repro.core.pipeline.Outcome` interface, so
+    reporting and the result record treat both alike, and additionally
+    carries the sampling plan and the per-representative outcomes for
     inspection.
     """
 
@@ -117,12 +116,6 @@ class SampledOutcome:
     events_simulated: int
     #: weight-combined ideal (zero-cost-communication) time estimate
     ideal_time_estimate: float
-    #: sampled outcomes carry no whole-run translated program
-    translated: None = None
-
-    @property
-    def predicted_time(self) -> float:
-        return self.result.execution_time
 
     @property
     def ideal_time(self) -> float:

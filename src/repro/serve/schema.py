@@ -9,9 +9,11 @@ never a traceback over the wire.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Sequence
 
+from repro.core.predict import PredictRequest
 from repro.sweep.spec import suggest
 
 #: Hard ceiling on inline trace size; larger traces should live on the
@@ -67,23 +69,19 @@ def reject_unknown_keys(
         )
 
 
-def _number(obj: Mapping[str, Any], key: str, what: str, *, minimum=None):
+def _number(
+    obj: Mapping[str, Any], key: str, what: str, *, minimum=None, kind=(int, float)
+):
     value = obj.get(key)
     if value is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise bad_request(f"{what} {key!r} must be a number, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise bad_request(f"{what} {key!r} must be >= {minimum}, got {value!r}")
-    return value
-
-
-def _int(obj: Mapping[str, Any], key: str, what: str, *, minimum=None):
-    value = obj.get(key)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise bad_request(f"{what} {key!r} must be an integer, got {value!r}")
+    noun = "an integer" if kind is int else "a finite number"
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, kind)
+        or not math.isfinite(value)
+    ):
+        raise bad_request(f"{what} {key!r} must be {noun}, got {value!r}")
     if minimum is not None and value < minimum:
         raise bad_request(f"{what} {key!r} must be >= {minimum}, got {value!r}")
     return value
@@ -121,18 +119,15 @@ def _trace_fields(body: Mapping[str, Any], what: str):
 
 
 @dataclass
-class PredictRequest:
+class PredictBody:
     """A validated ``POST /v1/predict`` body."""
 
     preset: str = "distributed_memory"
     overrides: Dict[str, Any] = field(default_factory=dict)
     trace_inline: Optional[Mapping[str, Any]] = None
     trace_path: Optional[str] = None
-    wall_budget: Optional[float] = None
-    diagnose: bool = False
-    #: validated ``repro.sampling.SamplingConfig``, or None for a full
-    #: simulation
-    sample: Optional[Any] = None
+    #: the validated prediction mode and budget (report always rendered)
+    request: PredictRequest = PredictRequest(report=True)
 
 
 #: keys a predict request may carry
@@ -147,7 +142,7 @@ PREDICT_KEYS = (
 )
 
 
-def validate_predict_request(body: Any) -> PredictRequest:
+def validate_predict_request(body: Any) -> PredictBody:
     body = expect_object(body, "predict request")
     reject_unknown_keys(body, PREDICT_KEYS, "predict request")
     inline, path = _trace_fields(body, "a predict request")
@@ -164,9 +159,6 @@ def validate_predict_request(body: Any) -> PredictRequest:
     for key in overrides:
         if not isinstance(key, str):
             raise bad_request(f"override keys must be strings, got {key!r}")
-    wall_budget = _number(body, "wall_budget", "predict request")
-    if wall_budget is not None and wall_budget <= 0:
-        raise bad_request(f"'wall_budget' must be > 0, got {wall_budget!r}")
     diagnose = body.get("diagnose", False)
     if not isinstance(diagnose, bool):
         raise bad_request(f"'diagnose' must be a boolean, got {diagnose!r}")
@@ -179,19 +171,22 @@ def validate_predict_request(body: Any) -> PredictRequest:
             sample = SamplingConfig.from_dict(raw)
         except ValueError as exc:
             raise bad_request(f"bad 'sample' config: {exc}") from None
-        if diagnose:
-            raise bad_request(
-                "'diagnose' records a full simulation timeline; it cannot "
-                "be combined with 'sample' (drop one of the two)"
-            )
-    return PredictRequest(
+    request = PredictRequest(
+        sample=sample,
+        diagnose=diagnose,
+        report=True,
+        wall_budget=_number(body, "wall_budget", "predict request"),
+    )
+    try:
+        request.validate()
+    except ValueError as exc:
+        raise bad_request(str(exc)) from None
+    return PredictBody(
         preset=preset,
         overrides=overrides,
         trace_inline=inline,
         trace_path=path,
-        wall_budget=wall_budget,
-        diagnose=diagnose,
-        sample=sample,
+        request=request,
     )
 
 
@@ -216,8 +211,8 @@ def validate_sweep_request(body: Any) -> SweepRequest:
     reject_unknown_keys(body, SWEEP_KEYS, "sweep request")
     spec = expect_object(body.get("spec"), "'spec'")
     inline, path = _trace_fields(body, "a sweep request")
-    jobs = _int(body, "jobs", "sweep request", minimum=1)
-    retries = _int(body, "retries", "sweep request", minimum=0)
+    jobs = _number(body, "jobs", "sweep request", minimum=1, kind=int)
+    retries = _number(body, "retries", "sweep request", minimum=0, kind=int)
     wall_budget = _number(body, "wall_budget", "sweep request")
     if wall_budget is not None and wall_budget <= 0:
         raise bad_request(f"'wall_budget' must be > 0, got {wall_budget!r}")

@@ -6,13 +6,12 @@ taking a parsed JSON body and returning a JSON-safe dict (raising
 whole API is unit-testable without opening a socket; the HTTP layer
 (:mod:`repro.serve.http`) is a thin router over it.
 
-Prediction results are memoized through the same content-addressed
-:class:`~repro.sweep.cache.ResultCache` the sweep engine uses — keyed
-by ``Trace.digest()`` + canonical resolved parameters — so a repeated
-predict (or one whose point a sweep already computed under the same
-key schema) is answered without simulating.  Cached and fresh responses
-are byte-identical: fresh payloads round-trip through JSON before they
-leave, exactly like the sweep executor.
+Predictions run through the shared core
+(:class:`repro.core.predict.PredictRequest`), memoized in the same
+content-addressed :class:`~repro.sweep.cache.ResultCache` the sweep
+engine uses under the core's cache key, so a repeated predict is
+answered without simulating.  Cached and fresh responses are
+byte-identical: the core round-trips every fresh payload through JSON.
 
 Hardening notes (the service is a long-running process fed by
 untrusted clients):
@@ -46,27 +45,26 @@ import json
 import os
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro import __version__
 from repro.core import presets
-from repro.core.pipeline import extrapolate
 from repro.des import SimulationStalled
-from repro.metrics.report import predict_summary
 from repro.serve.jobs import Job, JobQueue, QueueClosedError, QueueFullError
 from repro.serve.journal import JobJournal, request_digest
 from repro.serve.ratelimit import RateLimiter
 from repro.serve.schema import (
     ApiError,
-    PredictRequest,
+    PredictBody,
     SweepRequest,
     bad_request,
     validate_predict_request,
     validate_sweep_request,
 )
-from repro.sweep.cache import ResultCache, result_key
-from repro.sweep.executor import result_record, run_sweep
+from repro.sweep.cache import ResultCache
+from repro.sweep.executor import run_sweep
 from repro.sweep.spec import SweepSpec, apply_param_overrides
 from repro.trace import TraceReadError, read_trace
 from repro.trace.events import TraceEvent
@@ -74,10 +72,6 @@ from repro.trace.trace import Trace, TraceMeta
 from repro.util.log import get_logger
 
 log = get_logger("serve")
-
-#: cache-key namespace for predict responses (bump when the payload
-#: stored under a key changes shape)
-PREDICT_CACHE_EXTRA = {"serve": "predict", "payload": 1}
 
 #: deterministic ``Retry-After`` seconds on a 503 shed (queue full)
 SHED_RETRY_AFTER_S = 2
@@ -290,7 +284,7 @@ class ExtrapService:
                 raise bad_request(f"bad 'trace.events[{i}]': {exc}") from None
         return Trace(meta, events)
 
-    def _load_trace(self, req: "PredictRequest | SweepRequest") -> Trace:
+    def _load_trace(self, req: "PredictBody | SweepRequest") -> Trace:
         if req.trace_inline is not None:
             return self._trace_from_inline(req.trace_inline)
         assert req.trace_path is not None
@@ -356,6 +350,9 @@ class ExtrapService:
 
     def predict(self, body: Any) -> Dict[str, Any]:
         req = validate_predict_request(body)
+        request = replace(
+            req.request, wall_budget=self._clamp_budget(req.request.wall_budget)
+        )
         trace = self._load_trace(req)
         try:
             params = presets.by_name(req.preset)
@@ -363,65 +360,17 @@ class ExtrapService:
         except ValueError as exc:
             raise bad_request(str(exc)) from None
         digest = trace.digest()
-        # A diagnosed payload carries extra content, and a sampled one
-        # is an estimate, so each caches under its own namespace — a
-        # plain predict can never replay a diagnosis- or sample-shaped
-        # entry or vice versa (and two different sampling configs never
-        # answer each other either).
-        if req.sample is not None:
-            extra = {
-                **PREDICT_CACHE_EXTRA,
-                "sampling": req.sample.canonical_dict(),
-            }
-        elif req.diagnose:
-            extra = {**PREDICT_CACHE_EXTRA, "diagnose": 1}
-        else:
-            extra = PREDICT_CACHE_EXTRA
-        key = result_key(digest, params, extra=extra)
+        key = request.cache_key(digest, params)
         payload = self.cache.get(key) if self.cache is not None else None
         cached = payload is not None
         if payload is None:
             try:
-                if req.sample is not None:
-                    from repro.sampling import (
-                        estimate_sampled,
-                        sampling_section,
-                    )
-
-                    outcome = estimate_sampled(
-                        trace,
-                        params,
-                        req.sample,
-                        wall_clock_budget=self._clamp_budget(req.wall_budget),
-                    )
-                else:
-                    outcome = extrapolate(
-                        trace,
-                        params,
-                        observe=req.diagnose,
-                        wall_clock_budget=self._clamp_budget(req.wall_budget),
-                    )
+                payload = request.run(trace, params).payload
             except SimulationStalled as exc:
                 raise ApiError(504, str(exc)) from None
             except ValueError as exc:
                 # e.g. a zero-event trace cannot be sampled
                 raise bad_request(str(exc)) from None
-            report = predict_summary(params, outcome)
-            if req.sample is not None:
-                report += "\n" + sampling_section(outcome.result)
-            body_out = {
-                "metrics": result_record(outcome),
-                "report": report,
-            }
-            if req.diagnose:
-                from repro.diagnose import diagnose
-
-                body_out["diagnosis"] = diagnose(
-                    outcome.result.timeline
-                ).to_dict()
-            # Round-trip through JSON so a fresh response is
-            # byte-identical to the cached replay of itself.
-            payload = json.loads(json.dumps(body_out))
             if self.cache is not None:
                 self.cache.put(key, payload)
         return {

@@ -13,10 +13,10 @@ Two layers:
 * :func:`run_sweep` — the sweep driver: expands a
   :class:`~repro.sweep.spec.SweepSpec`, answers points from the
   :class:`~repro.sweep.cache.ResultCache` where possible, fans the
-  misses out, and stores fresh results back.  Fresh results round-trip
-  through the same JSON encoding the cache uses before they are
-  reported, so a cached and an uncached run of the same spec render
-  identically down to float formatting.
+  misses out, and stores fresh results back.  Each point is one
+  :meth:`repro.core.predict.PredictRequest.run`, whose record is
+  already JSON-round-tripped, so a cached and an uncached run of the
+  same spec render identically down to float formatting.
 
 Per-point timeouts reuse the simulation watchdog: the wall-clock budget
 is enforced *inside* the point by
@@ -34,8 +34,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.pipeline import extrapolate, measure
+from repro.core.predict import PredictRequest
+# re-exported for callers that take the record schema from the sweep layer
+from repro.core.predict import result_record  # noqa: F401
 from repro.perf import SweepCounters
-from repro.sweep.cache import ResultCache, result_key
+from repro.sweep.cache import ResultCache
 from repro.sweep.spec import SweepPoint, SweepSpec
 from repro.trace.trace import Trace
 from repro.util.log import get_logger
@@ -264,76 +267,13 @@ class _PointTask:
     trace_ref: str
     point: SweepPoint
     base_preset: str
-    wall_budget: Optional[float] = None
-    #: when set, the point is answered by a SimPoint-style sampled
-    #: estimate (:func:`repro.sampling.estimate_sampled`) instead of a
-    #: full simulation
-    sample: Optional[Any] = None
-
-
-def result_record(outcome) -> Dict[str, Any]:
-    """The JSON-safe extrapolation metrics payload.
-
-    Shared vocabulary between the sweep cache, sweep artifacts and the
-    serve API's ``metrics`` object — one schema, one place.  Sampled
-    estimates additionally carry ``estimated: true`` plus a ``sampling``
-    summary (config, chosen k, events simulated, error bars), so an
-    estimate can never be mistaken for an exact result downstream.
-    """
-    r = outcome.result
-    record = {
-        "predicted_time_us": r.execution_time,
-        "ideal_time_us": outcome.ideal_time,
-        "utilization": r.utilization(),
-        "compute_time_us": r.total_compute_time(),
-        "comm_time_us": r.total_comm_time(),
-        "barrier_time_us": r.total_barrier_time(),
-        "message_count": r.network.messages,
-        "message_bytes": r.network.bytes,
-        "barrier_count": r.barrier_count,
-        "n_threads": r.meta.n_threads,
-    }
-    if getattr(r, "estimated", False):
-        info = r.sampling or {}
-        plan = info.get("plan", {})
-        record["estimated"] = True
-        record["sampling"] = {
-            "config": info.get("config"),
-            "mode": plan.get("mode"),
-            "k": plan.get("k"),
-            "n_intervals": plan.get("n_intervals"),
-            "events_total": info.get("events_total"),
-            "events_simulated": info.get("events_simulated"),
-            "error_bars": info.get("error_bars"),
-        }
-    return record
+    #: the sweep's prediction mode and budget, shared by every point
+    request: PredictRequest
 
 
 def _sweep_point_worker(task: _PointTask) -> Dict[str, Any]:
     trace = _WORKER_TRACES[task.trace_ref]
-    params = task.point.params(task.base_preset)
-    if task.sample is not None:
-        from repro.sampling import estimate_sampled
-
-        outcome = estimate_sampled(
-            trace, params, task.sample, wall_clock_budget=task.wall_budget
-        )
-    else:
-        outcome = extrapolate(
-            trace, params, wall_clock_budget=task.wall_budget
-        )
-    return result_record(outcome)
-
-
-def _json_roundtrip(record: Dict[str, Any]) -> Dict[str, Any]:
-    """Normalise a fresh record exactly the way the cache will.
-
-    JSON float text is exact for round-tripping, but ``-0.0`` and int
-    floats could in principle render differently from their Python
-    originals; one round-trip guarantees a cached second run formats
-    byte-identically to the first.
-    """
-    return json.loads(json.dumps(record))
+    return task.request.run(trace, task.point.params(task.base_preset)).record
 
 
 # -- sweep driver ------------------------------------------------------------
@@ -474,28 +414,19 @@ def run_sweep(
     keys: List[Optional[str]] = [None] * len(points)
     tasks: List[_PointTask] = []
     task_indices: List[int] = []
-    # Sampled points cache under sampling-aware keys, so a sampled and
-    # a full run of the same point can never answer each other.
-    key_extra = (
-        {"sampling": spec.sample.canonical_dict()}
-        if spec.sample is not None
-        else None
-    )
+    request = PredictRequest(sample=spec.sample, wall_budget=wall_budget)
+    request.validate()
     for i, point in enumerate(points):
         ref = trace_for(point)
         if cache is not None:
-            key = result_key(
-                digests[ref], point.params(spec.preset), extra=key_extra
-            )
+            key = request.cache_key(digests[ref], point.params(spec.preset))
             keys[i] = key
             hit = cache.get(key)
             if hit is not None:
                 records[i].result = hit
                 records[i].cached = True
                 continue
-        tasks.append(
-            _PointTask(ref, point, spec.preset, wall_budget, spec.sample)
-        )
+        tasks.append(_PointTask(ref, point, spec.preset, request))
         task_indices.append(i)
     if cache is not None:
         counters.cache_hits = cache.hits - hits0
@@ -515,7 +446,7 @@ def run_sweep(
             i = task_indices[task_pos]
             counters.executed += outcome.attempts
             if outcome.ok:
-                records[i].result = _json_roundtrip(outcome.value)
+                records[i].result = outcome.value
                 if cache is not None and keys[i] is not None:
                     cache.put(keys[i], records[i].result)
             else:

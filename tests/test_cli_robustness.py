@@ -194,6 +194,18 @@ def test_predict_nonpositive_wall_budget_exit_2(trace_path, capsys):
     assert "--wall-budget" in one_error_line(capsys)
 
 
+@pytest.mark.parametrize("command", ["predict", "sweep"])
+def test_nonfinite_wall_budget_exit_2(trace_path, tmp_path, capsys, command):
+    if command == "predict":
+        argv = ["predict", str(trace_path)]
+    else:
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"preset": "cm5", "points": [{}]}')
+        argv = ["sweep", "run", str(spec), "--trace", str(trace_path)]
+    assert main(argv + ["--wall-budget", "nan"]) == 2
+    assert "--wall-budget must be a finite number" in one_error_line(capsys)
+
+
 def test_report_unknown_preset_exit_2(trace_path, capsys):
     assert main(["report", str(trace_path), "--preset", "nope"]) == 2
     assert "unknown preset" in one_error_line(capsys)

@@ -270,8 +270,9 @@ def test_total_reply_loss_raises_stalled_naming_processors():
 
 
 def test_wall_clock_budget_is_validated():
-    with pytest.raises(ValueError, match="wall_clock_budget"):
-        Watchdog(wall_clock_budget=0.0)
+    for budget in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="wall_clock_budget"):
+            Watchdog(wall_clock_budget=budget)
     with pytest.raises(ValueError, match="watchdog windows"):
         Watchdog(stall_event_window=0)
 

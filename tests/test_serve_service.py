@@ -1,5 +1,6 @@
 """Serve service layer: validation contract, memoization, job queue."""
 
+import json
 import threading
 import time
 
@@ -147,6 +148,19 @@ def test_predict_non_object_body(service):
 def test_predict_bad_wall_budget(service):
     e = err(service.predict, {"trace_path": "t.jsonl", "wall_budget": 0})
     assert e.status == 400
+
+
+@pytest.mark.parametrize("raw", ["NaN", "Infinity"])
+def test_nonfinite_wall_budget_is_400(service, raw):
+    # json.loads (the HTTP layer's parser) accepts these literals
+    budget = json.loads(raw)
+    e = err(service.predict, {"trace_path": "t.jsonl", "wall_budget": budget})
+    assert e.status == 400 and "finite" in e.message
+    e = err(
+        service.submit_sweep,
+        {"spec": SPEC, "trace_path": "t.jsonl", "wall_budget": budget},
+    )
+    assert e.status == 400 and "finite" in e.message
 
 
 def test_predict_bad_inline_events(service):

@@ -4,6 +4,7 @@ import pytest
 
 from repro import measure
 from repro.bench.suite import get_benchmark
+from repro.core.predict import PredictRequest
 from repro.core.presets import by_name
 from repro.experiments.paramsets import matmul_config
 from repro.sampling import SamplingConfig
@@ -72,6 +73,28 @@ def test_sampled_and_full_keys_never_collide(trace):
         extra={"sampling": SamplingConfig(seed=1).canonical_dict()},
     )
     assert len({full, sampled, other}) == 3
+
+    # The core's cache_key reproduces each namespace's key byte for
+    # byte, and the five namespaces stay apart.
+    config = SamplingConfig()
+    serve = {"serve": "predict", "payload": 1}
+    namespaces = [
+        (PredictRequest(), None),
+        (PredictRequest(sample=config), {"sampling": config.canonical_dict()}),
+        (PredictRequest(report=True), serve),
+        (
+            PredictRequest(sample=config, report=True),
+            {**serve, "sampling": config.canonical_dict()},
+        ),
+        (PredictRequest(diagnose=True, report=True), {**serve, "diagnose": 1}),
+    ]
+    keys = set()
+    for request, extra in namespaces:
+        key = request.cache_key(digest, params)
+        assert key == result_key(digest, params, extra=extra)
+        keys.add(key)
+    assert len(keys) == 5
+    assert keys & {full, sampled} == {full, sampled}
 
 
 def test_sampled_sweep_does_not_touch_full_cache(trace, tmp_path):
