@@ -83,6 +83,14 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "ExtrapServer"
     protocol_version = "HTTP/1.1"
+    # Buffer each response and send it with Nagle off, so headers and
+    # body leave in one segment.  Written in two sends on a Nagle-on
+    # socket, the body waited for the client's delayed ACK: about 40 ms
+    # on every keep-alive response.  The _send_* methods flush inside
+    # _handle's try, so a client that went away takes its
+    # BrokenPipeError branch.
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------------
 
@@ -105,6 +113,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Retry-After", str(retry_after))
         self.end_headers()
         self.wfile.write(body)
+        self.wfile.flush()
 
     def _send_text(self, status: int, text: str, content_type: str) -> None:
         body = text.encode("utf-8")
@@ -113,6 +122,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
+        self.wfile.flush()
 
     def _send_error_json(
         self, status: int, message: str, *, retry_after: Optional[int] = None

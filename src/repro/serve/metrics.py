@@ -104,6 +104,21 @@ def render_metrics(stats: Dict[str, Any]) -> str:
             "Predict/sweep results that had to simulate.",
             [_sample("extrap_cache_misses_total", {}, cache["misses"])],
         )
+    digests: Mapping[str, int] = stats.get(
+        "trace_digests", {"hits": 0, "misses": 0}
+    )
+    family(
+        "extrap_trace_digest_hits_total",
+        "counter",
+        "Path predicts whose trace digest came from the file-identity memo.",
+        [_sample("extrap_trace_digest_hits_total", {}, digests["hits"])],
+    )
+    family(
+        "extrap_trace_digest_misses_total",
+        "counter",
+        "Path predicts that had to read the trace file to digest it.",
+        [_sample("extrap_trace_digest_misses_total", {}, digests["misses"])],
+    )
     jobs = stats["jobs"]
     family(
         "extrap_jobs",

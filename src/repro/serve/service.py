@@ -13,6 +13,14 @@ engine uses under the core's cache key, so a repeated predict is
 answered without simulating.  Cached and fresh responses are
 byte-identical: the core round-trips every fresh payload through JSON.
 
+A repeated predict on a trace file does not read the file either: the
+trace's digest is memoised by file identity (real path, device, inode,
+size, mtime and ctime; see :data:`TRACE_DIGEST_ENTRIES`), so a cache
+hit costs a ``stat`` and a cache read whatever the trace's size.  Any
+edit to the file changes its identity, and a file modified within
+:data:`RACY_WINDOW_NS` of its read is never memoised, so an edit made
+within one timestamp tick of a read is seen too.
+
 Hardening notes (the service is a long-running process fed by
 untrusted clients):
 
@@ -43,11 +51,13 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import threading
 import time
-from dataclasses import replace
+from collections import OrderedDict
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional, Tuple
 
 from repro import __version__
 from repro.core import presets
@@ -84,6 +94,38 @@ DRAIN_RETRY_AFTER_S = 5
 #: doing real work, widening the SIGKILL-mid-job window for the
 #: crash-recovery tests; unset/0 in production means zero overhead
 CHAOS_SLOW_JOB_ENV = "EXTRAP_SERVE_CHAOS_SLOW_JOB_S"
+
+#: trace files whose digest is memoised, least recently used evicted first
+TRACE_DIGEST_ENTRIES = 1024
+
+#: a file whose mtime is this close to (or after) the start of its read
+#: is not memoised: a rewrite within one timestamp tick could keep its
+#: identity (git's "racily clean" rule)
+RACY_WINDOW_NS = 2_000_000_000
+
+
+class FileIdentity(NamedTuple):
+    """A trace file's digest memo key: any edit to the file changes it."""
+
+    path: str
+    dev: int
+    ino: int
+    size: int
+    mtime_ns: int
+    ctime_ns: int
+
+
+@dataclass(frozen=True)
+class TraceDigest:
+    """What a predict response reports of its trace (memoised per file)."""
+
+    digest: str
+    program: str
+    n_threads: int
+
+    @classmethod
+    def of(cls, trace: Trace) -> "TraceDigest":
+        return cls(trace.digest(), trace.meta.program, trace.meta.n_threads)
 
 
 class ExtrapService:
@@ -134,6 +176,9 @@ class ExtrapService:
         self._requests: Dict[str, int] = {}
         self._rate_limited_total = 0
         self._shed_total = 0
+        self._digests: "OrderedDict[FileIdentity, TraceDigest]" = OrderedDict()
+        self._digest_hits = 0
+        self._digest_misses = 0
         if self.journal is not None:
             self._recover()
 
@@ -244,7 +289,8 @@ class ExtrapService:
 
     # -- trace loading -------------------------------------------------------
 
-    def _trace_from_path(self, rel: str) -> Trace:
+    def _resolve_trace_path(self, rel: str) -> Path:
+        """``rel``'s real path, confined to the trace root (400 if not)."""
         candidate = Path(rel)
         if candidate.is_absolute():
             raise bad_request(
@@ -256,6 +302,10 @@ class ExtrapService:
             raise bad_request(
                 f"'trace_path' {rel!r} escapes the server trace root"
             )
+        return resolved
+
+    def _trace_from_path(self, rel: str) -> Trace:
+        resolved = self._resolve_trace_path(rel)
         if not resolved.is_file():
             raise ApiError(404, f"trace file not found: {rel}")
         try:
@@ -264,6 +314,54 @@ class ExtrapService:
             raise bad_request(str(exc)) from None
         except OSError as exc:
             raise bad_request(f"cannot read trace {rel}: {exc}") from None
+
+    def _file_identity(self, rel: str) -> FileIdentity:
+        """Confine and ``stat`` a trace path: its digest memo key."""
+        resolved = self._resolve_trace_path(rel)
+        try:
+            st = resolved.stat()
+        except OSError:
+            st = None
+        if st is None or not stat.S_ISREG(st.st_mode):
+            raise ApiError(404, f"trace file not found: {rel}")
+        return FileIdentity(
+            str(resolved),
+            st.st_dev,
+            st.st_ino,
+            st.st_size,
+            st.st_mtime_ns,
+            st.st_ctime_ns,
+        )
+
+    def _trace_digest(self, req: PredictBody) -> Tuple[Optional[Trace], TraceDigest]:
+        """The request's trace digest, plus the trace if it had to be read.
+
+        A trace file's digest is memoised by file identity, so a repeat
+        request only stats the file; the trace is ``None`` then.
+        """
+        if req.trace_path is None:
+            trace = self._load_trace(req)
+            return trace, TraceDigest.of(trace)
+        began_ns = time.time_ns()
+        identity = self._file_identity(req.trace_path)
+        with self._lock:
+            memo = self._digests.get(identity)
+            if memo is not None:
+                self._digests.move_to_end(identity)
+                self._digest_hits += 1
+                return None, memo
+            self._digest_misses += 1
+        # Keyed by the identity stat'd *before* the read: a file changed
+        # while it is read gets a new identity, never a stale digest.
+        trace = self._load_trace(req)
+        memo = TraceDigest.of(trace)
+        if identity.mtime_ns < began_ns - RACY_WINDOW_NS:
+            with self._lock:
+                self._digests[identity] = memo
+                self._digests.move_to_end(identity)
+                while len(self._digests) > TRACE_DIGEST_ENTRIES:
+                    self._digests.popitem(last=False)
+        return trace, memo
 
     @staticmethod
     def _trace_from_inline(inline: Mapping[str, Any]) -> Trace:
@@ -317,6 +415,11 @@ class ExtrapService:
             requests = dict(sorted(self._requests.items()))
             rate_limited = self._rate_limited_total
             shed = self._shed_total
+            digests = {
+                "entries": len(self._digests),
+                "hits": self._digest_hits,
+                "misses": self._digest_misses,
+            }
         admission: Dict[str, Any] = {
             "rate_limit": {"enabled": self.limiter is not None},
             "rate_limited_total": rate_limited,
@@ -339,6 +442,7 @@ class ExtrapService:
             "requests": requests,
             "requests_total": sum(requests.values()),
             "cache": cache_stats,
+            "trace_digests": digests,
             "admission": admission,
             "journal": journal_stats,
             "jobs": {
@@ -353,17 +457,23 @@ class ExtrapService:
         request = replace(
             req.request, wall_budget=self._clamp_budget(req.request.wall_budget)
         )
-        trace = self._load_trace(req)
+        trace, memo = self._trace_digest(req)
         try:
             params = presets.by_name(req.preset)
             params = apply_param_overrides(params, req.overrides)
         except ValueError as exc:
             raise bad_request(str(exc)) from None
-        digest = trace.digest()
-        key = request.cache_key(digest, params)
+        key = request.cache_key(memo.digest, params)
         payload = self.cache.get(key) if self.cache is not None else None
         cached = payload is not None
         if payload is None:
+            if trace is None:
+                # A memoised digest is of the file as it was stat'd; key
+                # the result by what is read now, or a file rewritten
+                # since would file its result under the old content.
+                trace = self._load_trace(req)
+                memo = TraceDigest.of(trace)
+                key = request.cache_key(memo.digest, params)
             try:
                 payload = request.run(trace, params).payload
             except SimulationStalled as exc:
@@ -377,11 +487,7 @@ class ExtrapService:
             "cached": cached,
             "key": key,
             "preset": req.preset,
-            "trace": {
-                "digest": digest,
-                "program": trace.meta.program,
-                "n_threads": trace.meta.n_threads,
-            },
+            "trace": asdict(memo),
             **payload,
         }
 

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -217,6 +218,41 @@ def test_concurrent_clients_identical_responses(server):
     assert not errors
     assert len(results) == 32
     assert len({(s, json.dumps(m, sort_keys=True), r) for s, m, r in results}) == 1
+
+
+def test_keepalive_responses_arrive_whole(server):
+    """Each response leaves in one write on a no-delay socket.
+
+    Headers and body written in two sends on a Nagle-on socket hold the
+    body back until the client's delayed ACK, about 40 ms later, so a
+    client read would see the headers alone.
+    """
+    accepted = []
+    finish = server.finish_request
+
+    def finish_request(request, client_address):
+        accepted.append(request)
+        return finish(request, client_address)
+
+    server.finish_request = finish_request
+    body = json.dumps({"trace_path": "t.jsonl", "preset": "cm5"}).encode()
+    raw = (
+        b"POST /v1/predict HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+        b"Content-Type: application/json\r\n"
+        b"Content-Length: %d\r\n\r\n" % len(body)
+    ) + body
+    with socket.create_connection(("127.0.0.1", server.port), timeout=60) as sock:
+        for _ in range(4):
+            sock.sendall(raw)
+            data = sock.recv(1 << 20)  # one read: must be one whole message
+            head, _, payload = data.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 200"), head
+            length = re.search(rb"Content-Length: (\d+)", head)
+            assert length, head
+            assert len(payload) == int(length.group(1))
+            json.loads(payload)
+        (conn,) = accepted  # one keep-alive connection served them all
+        assert conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
 
 # -- process-level graceful shutdown -----------------------------------------

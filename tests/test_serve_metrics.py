@@ -3,7 +3,9 @@
 
 import http.client
 import json
+import os
 import re
+import time
 
 import pytest
 
@@ -132,6 +134,31 @@ def test_metrics_reflect_cache_and_request_counters(server):
     assert "extrap_cache_hits_total 1" in text
     assert "extrap_cache_misses_total 1" in text
     assert 'extrap_jobs{status="queued"} 0' in text
+
+
+def test_metrics_count_trace_digest_memo(server, trace_root):
+    then = time.time() - 60  # out of the racy window: memoisable
+    os.utime(trace_root / "t.jsonl", (then, then))
+    body = {"trace_path": "t.jsonl", "preset": "cm5"}
+    for _ in range(3):
+        status, _, _ = fetch(server, "POST", "/v1/predict", body)
+        assert status == 200
+    _, _, data = fetch(server, "GET", "/v1/metrics")
+    families, typed = parse_exposition(data.decode("utf-8"))
+    assert typed["extrap_trace_digest_hits_total"] == "counter"
+    assert typed["extrap_trace_digest_misses_total"] == "counter"
+    assert families["extrap_trace_digest_hits_total"] == [
+        "extrap_trace_digest_hits_total 2"
+    ]
+    assert families["extrap_trace_digest_misses_total"] == [
+        "extrap_trace_digest_misses_total 1"
+    ]
+    _, _, data = fetch(server, "GET", "/v1/stats")
+    assert json.loads(data)["trace_digests"] == {
+        "entries": 1,
+        "hits": 2,
+        "misses": 1,
+    }
 
 
 def test_metrics_render_without_cache():
