@@ -26,7 +26,7 @@ def test_event_loop_throughput(benchmark):
         env.process(ping(env, a, b, 500))
         env.process(ping(env, b, a, 500))
         a.put(None)
-        env.run(None)
+        env.run()
         return env.processed_event_count
 
     events = benchmark(run)
@@ -34,7 +34,7 @@ def test_event_loop_throughput(benchmark):
 
 
 def test_timeout_only_fast_path_throughput(benchmark):
-    """The run_batched fast path on the Timeout-only workload."""
+    """The Environment.run fast path on the Timeout-only workload."""
 
     def run():
         env = Environment()
@@ -44,7 +44,7 @@ def test_timeout_only_fast_path_throughput(benchmark):
                 yield env.timeout(1.0)
 
         env.process(sleeper(env))
-        env.run_batched()
+        env.run()
         return env.processed_event_count
 
     events = benchmark(run)

@@ -29,6 +29,7 @@ chatter on stderr (primary artifacts always go to stdout).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Any, Dict, List
@@ -114,11 +115,14 @@ def _load_faults(args, params: SimulationParameters):
 
 def _parse_counts(spec: str) -> List[int]:
     try:
-        return [int(x) for x in spec.split(",") if x.strip()]
+        counts = [int(x) for x in spec.split(",") if x.strip()]
     except ValueError:
         raise ValueError(
             f"bad processor-count list {spec!r}; expected e.g. 1,2,4"
         ) from None
+    if any(p < 1 for p in counts):
+        raise ValueError(f"processor counts must be >= 1, got {spec!r}")
+    return counts
 
 
 def _parse_override_value(raw: str) -> Any:
@@ -242,6 +246,8 @@ def cmd_list(_args) -> int:
 
 
 def cmd_trace(args) -> int:
+    if args.n < 1:
+        return _input_error(f"-n must be >= 1, got {args.n}")
     info = get_benchmark(args.benchmark)
     maker = info.make_program()
     log.info("measuring %s with %d threads", args.benchmark, args.n)
@@ -436,6 +442,12 @@ def cmd_bench(args) -> int:
         write_baseline,
     )
 
+    if args.repeats < 1:
+        return _input_error(f"--repeats must be >= 1, got {args.repeats}")
+    if not (math.isfinite(args.scale) and args.scale > 0):
+        return _input_error(
+            f"--scale must be a finite number > 0, got {args.scale}"
+        )
     if args.only:
         from repro.perf.bench import WORKLOADS
         from repro.sweep.spec import suggest
@@ -471,6 +483,8 @@ def cmd_bench(args) -> int:
 def cmd_machine(args) -> int:
     from repro.machine import run_on_machine
 
+    if args.n < 1:
+        return _input_error(f"-n must be >= 1, got {args.n}")
     info = get_benchmark(args.benchmark)
     maker = info.make_program()
     result = run_on_machine(maker(args.n), args.n, name=args.benchmark)

@@ -3,17 +3,17 @@
 The run loop has two tiers:
 
 * :meth:`Environment.step` — the readable one-event reference path;
-* :meth:`Environment.run_batched` — the fast path used by
-  :meth:`Environment.run` and the simulators.  It drains the heap in
-  same-time batches with the event-dispatch inlined (no per-event
-  method calls), processing events in exactly the order repeated
-  ``step()`` calls would.
+* :meth:`Environment.run` — the one drain entry point every driver
+  uses.  It drains the heap in same-time batches with the
+  event-dispatch inlined (no per-event method calls), processing
+  events in exactly the order repeated ``step()`` calls would.
 
 Profiling (:meth:`Environment.enable_profiling`) attaches an
 :class:`~repro.perf.counters.EngineCounters` block; while it is on,
-the loop routes through the instrumented path so events are histogrammed
-by type and the heap peak is tracked.  The fast path pays nothing for
-the feature when it is off (one ``is None`` test per drain).
+``run`` routes through its instrumented twin (built on ``step``) so
+events are histogrammed by type and the heap peak is tracked.  The fast
+path pays nothing for the feature when it is off (one ``is None`` test
+per drain).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.perf.counters import EngineCounters
 
 
 class StopSimulation(Exception):
-    """Raised by :meth:`Environment.run` internals to halt the loop."""
+    """Raised by :meth:`Environment.step` on an empty event queue."""
 
 
 class Deadlock(RuntimeError):
@@ -119,10 +119,6 @@ class Watchdog:
         return None
 
 
-def _noop_callback(_ev: Event) -> None:
-    """Placeholder waiter attached to a ``run(until=event)`` sentinel."""
-
-
 class Environment:
     """Discrete-event simulation environment.
 
@@ -139,7 +135,6 @@ class Environment:
         self._now = float(initial_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
-        self._active: Optional[Process] = None
         self._event_count = 0
         self._profile: Optional[EngineCounters] = None
         #: Observability hook slot (see :mod:`repro.obs`).  A simulator
@@ -167,11 +162,6 @@ class Environment:
         return self._now
 
     @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing a step, if any."""
-        return self._active
-
-    @property
     def processed_event_count(self) -> int:
         """Total number of events processed so far (profiling aid)."""
         return self._event_count
@@ -191,15 +181,6 @@ class Environment:
         if self._profile is None:
             self._profile = EngineCounters()
         return self._profile
-
-    def disable_profiling(self) -> Optional[EngineCounters]:
-        """Detach and return the counter block (restores the fast path)."""
-        profile, self._profile = self._profile, None
-        return profile
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
 
     # -- factories ------------------------------------------------------------
 
@@ -243,8 +224,8 @@ class Environment:
         """Process exactly one event (advancing the clock to it).
 
         Returns the processed event.  This is the reference path; bulk
-        draining goes through :meth:`run_batched`, which behaves exactly
-        like repeated ``step()`` calls.
+        draining goes through :meth:`run`, which behaves exactly like
+        repeated ``step()`` calls.
         """
         if not self._queue:
             raise StopSimulation("event queue is empty")
@@ -256,13 +237,13 @@ class Environment:
         event._process()
         return event
 
-    def run_batched(
+    def run(
         self,
         until: Event | None = None,
         *,
         max_events: int | None = None,
     ) -> bool:
-        """Drain the event queue on the engine's fast path.
+        """Drain the event queue (the engine's fast path).
 
         Events are processed in exactly the order repeated :meth:`step`
         calls would produce (the documented FIFO/priority contract), but
@@ -278,7 +259,9 @@ class Environment:
             Process at most this many events, then return ``False``.
 
         Returns ``True`` when finished (queue drained, or ``until``
-        processed), ``False`` when the ``max_events`` budget ran out.
+        processed), ``False`` when the ``max_events`` budget ran out.  A
+        failed event nobody waits on (``until`` included) raises its
+        exception out of the loop.
         """
         if until is not None and until._state == PROCESSED:
             return True
@@ -328,7 +311,7 @@ class Environment:
     def _run_instrumented(
         self, until: Event | None, max_events: int | None
     ) -> bool:
-        """Profiling twin of :meth:`run_batched`, built on :meth:`step`."""
+        """Profiling twin of :meth:`run`, built on :meth:`step`."""
         budget = -1 if max_events is None else max_events
         if budget == 0:
             return until is None and not self._queue
@@ -346,65 +329,3 @@ class Environment:
                 f"event fired ({until!r}); deadlock?"
             )
         return True
-
-    def run(self, until: float | Event | None = None) -> Any:
-        """Run the simulation.
-
-        ``until`` may be:
-
-        * ``None`` — run until the event queue drains;
-        * a number — run until the clock reaches that time;
-        * an :class:`Event` — run until that event is processed and return
-          its value (raising if it failed).
-        """
-        if until is None:
-            self.run_batched()
-            return None
-
-        if isinstance(until, Event):
-            sentinel = until
-            if sentinel._state != PROCESSED:
-                # Register as a waiter so a failing sentinel counts as
-                # handled (run() re-raises it below), and detach again on
-                # every exit path — a stale callback must not linger on
-                # the sentinel after the run returns or raises.
-                sentinel.callbacks.append(_noop_callback)
-                try:
-                    self.run_batched(sentinel)
-                finally:
-                    sentinel._remove_callback(_noop_callback)
-            if not sentinel.ok:
-                sentinel.defused = True
-                raise sentinel.value
-            return sentinel.value
-
-        horizon = float(until)
-        if horizon < self._now:
-            raise ValueError(
-                f"cannot run until {horizon}; clock is already at {self._now}"
-            )
-        queue = self._queue
-        pop = heappop
-        count = 0
-        try:
-            while queue and queue[0][0] <= horizon:
-                if self._profile is not None:
-                    self.step()
-                    continue
-                t = queue[0][0]
-                self._now = t
-                while queue and queue[0][0] == t:
-                    event = pop(queue)[3]
-                    count += 1
-                    event._state = PROCESSED
-                    callbacks = event.callbacks
-                    if callbacks:
-                        event.callbacks = []
-                        for cb in callbacks:
-                            cb(event)
-                    elif not event._ok and not event.defused:
-                        raise event._value
-        finally:
-            self._event_count += count
-        self._now = horizon
-        return None

@@ -13,7 +13,7 @@ callback chains.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, List
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.des.engine import Environment
@@ -22,21 +22,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 PENDING = 0
 TRIGGERED = 1
 PROCESSED = 2
-
-
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted.
-
-    ``cause`` carries the interrupter's payload (for the processor model it
-    is the arriving message that preempted computation).
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Interrupt(cause={self.cause!r})"
 
 
 class Event:
@@ -56,7 +41,7 @@ class Event:
         self._value: Any = None
         self._ok = True
         self.callbacks: List[Callable[["Event"], None]] = []
-        #: set by Environment.run when a failed event had no waiters
+        #: True once a failure counts as handled (a waiter took it on)
         self.defused = False
 
     # -- state inspection -------------------------------------------------
@@ -120,12 +105,6 @@ class Event:
         if not self._ok and not self.defused and not callbacks:
             # A failure nobody waited on: surface it instead of losing it.
             raise self._value
-
-    def _remove_callback(self, cb: Callable[["Event"], None]) -> None:
-        try:
-            self.callbacks.remove(cb)
-        except ValueError:
-            pass
 
     def __repr__(self) -> str:
         state = {PENDING: "pending", TRIGGERED: "triggered", PROCESSED: "processed"}

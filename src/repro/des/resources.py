@@ -19,17 +19,7 @@ if TYPE_CHECKING:  # pragma: no cover
 class Request(Event):
     """A pending or granted claim on a resource slot."""
 
-    __slots__ = ("resource", "granted")
-
-    def __init__(self, resource: "Resource"):
-        super().__init__(resource.env)
-        self.resource = resource
-        self.granted = False
-
-    def cancel(self) -> None:
-        """Withdraw an ungranted request (no-op if already granted)."""
-        if not self.granted:
-            self.resource._withdraw(self)
+    __slots__ = ()
 
 
 class Resource:
@@ -42,41 +32,17 @@ class Resource:
         self.capacity = capacity
         self._users: List[Request] = []
         self._waiters: List[Request] = []
-        #: cumulative (time-weighted) busy integral for utilisation metrics
-        self._busy_integral = 0.0
-        self._last_change = env.now
-
-    # -- metrics -------------------------------------------------------------
-
-    @property
-    def count(self) -> int:
-        """Number of slots currently in use."""
-        return len(self._users)
 
     @property
     def queue_length(self) -> int:
         """Number of requests waiting for a slot."""
         return len(self._waiters)
 
-    def utilization_integral(self) -> float:
-        """Time-integral of busy slots up to 'now' (divide by elapsed*capacity)."""
-        self._account()
-        return self._busy_integral
-
-    def _account(self) -> None:
-        now = self.env.now
-        self._busy_integral += len(self._users) * (now - self._last_change)
-        self._last_change = now
-
-    # -- protocol -------------------------------------------------------------
-
     def request(self) -> Request:
         """Claim a slot; the returned event fires when the claim is granted."""
-        req = Request(self)
+        req = Request(self.env)
         if len(self._users) < self.capacity:
-            self._account()
             self._users.append(req)
-            req.granted = True
             req.succeed(req)
         else:
             self._waiters.append(req)
@@ -86,16 +52,8 @@ class Resource:
         """Return a previously granted slot."""
         if request not in self._users:
             raise ValueError("releasing a request that does not hold a slot")
-        self._account()
         self._users.remove(request)
         if self._waiters:
             nxt = self._waiters.pop(0)
             self._users.append(nxt)
-            nxt.granted = True
             nxt.succeed(nxt)
-
-    def _withdraw(self, request: Request) -> None:
-        try:
-            self._waiters.remove(request)
-        except ValueError:
-            pass

@@ -3,7 +3,7 @@
 Six seeded reference workloads exercise the layers of the hot path:
 
 * ``timeout_chain`` — the pure event loop (Timeout-only, the
-  ``run_batched`` fast-path case);
+  ``Environment.run`` fast-path case);
 * ``pingpong`` — processes + stores (get/put/timeout churn);
 * ``simulator`` — a full trace-driven replay (8 processors, the
   distributed-memory preset) through :class:`repro.sim.Simulator`;
@@ -55,7 +55,7 @@ def timeout_chain(n: int = 20_000) -> int:
             yield env.timeout(1.0)
 
     env.process(sleeper(env))
-    env.run_batched()
+    env.run()
     return env.processed_event_count
 
 
@@ -75,7 +75,7 @@ def pingpong(rounds: int = 5_000) -> int:
     env.process(ping(env, a, b, rounds))
     env.process(ping(env, b, a, rounds))
     a.put(None)
-    env.run(None)
+    env.run()
     return env.processed_event_count
 
 

@@ -37,7 +37,7 @@ class PhaseTimer:
 
         timer = PhaseTimer(env)
         with timer.phase("replay"):
-            env.run_batched(done)
+            env.run(done)
     """
 
     env: Optional["Environment"] = None

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from contextlib import nullcontext
 from typing import List, Optional
 
 from repro.core.parameters import SimulationParameters
@@ -135,23 +136,21 @@ class Simulator:
         self._ran = True
         wall0 = time.perf_counter()
         env = self.env
-        timers = self.profile.timers if self.profile is not None else None
+        phase = (
+            self.profile.timers.phase
+            if self.profile is not None
+            else lambda _name: nullcontext()
+        )
 
-        if timers is not None:
-            with timers.phase("spawn"):
-                self._spawn()
-            with timers.phase("replay"):
-                self._replay()
-            with timers.phase("drain"):
-                env.run(None)
-            with timers.phase("collect"):
-                result = self._collect()
-        else:
+        with phase("spawn"):
             self._spawn()
+        with phase("replay"):
             self._replay()
-            # Drain in-flight messages (late replies/releases already en
-            # route; finished processors keep serving).
-            env.run(None)
+        # Drain in-flight messages (late replies/releases already en
+        # route; finished processors keep serving).
+        with phase("drain"):
+            env.run()
+        with phase("collect"):
             result = self._collect()
 
         if self.profile is not None:
@@ -187,7 +186,7 @@ class Simulator:
                     "(runaway or max_events set too low)"
                 )
             try:
-                if env.run_batched(
+                if env.run(
                     all_done,
                     max_events=min(remaining, watchdog.check_interval),
                 ):
@@ -267,22 +266,19 @@ def simulate(
     translated: TranslatedProgram,
     params: SimulationParameters,
     *,
-    max_events: Optional[int] = None,
+    max_events: int = 50_000_000,
     placement=None,
     profile: bool = False,
     observe: bool = False,
     wall_clock_budget: Optional[float] = None,
 ) -> SimulationResult:
     """One-call convenience wrapper around :class:`Simulator`."""
-    kwargs = {}
-    if max_events is not None:
-        kwargs["max_events"] = max_events
-    if placement is not None:
-        kwargs["placement"] = placement
-    if profile:
-        kwargs["profile"] = True
-    if observe:
-        kwargs["observe"] = True
-    if wall_clock_budget is not None:
-        kwargs["wall_clock_budget"] = wall_clock_budget
-    return Simulator(translated, params, **kwargs).run()
+    return Simulator(
+        translated,
+        params,
+        max_events=max_events,
+        placement=placement,
+        profile=profile,
+        observe=observe,
+        wall_clock_budget=wall_clock_budget,
+    ).run()

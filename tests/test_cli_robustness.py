@@ -225,3 +225,29 @@ def test_study_unknown_preset_exit_2(capsys):
     assert main(["study", "embar", "--preset", "sharedmemory"]) == 2
     line = one_error_line(capsys)
     assert "unknown preset" in line and "shared_memory" in line
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["trace", "embar", "-n", "0"], "-n must be >= 1"),
+        (["machine", "embar", "-n", "0"], "-n must be >= 1"),
+        (["study", "embar", "-p", "0,2"], "processor counts must be >= 1"),
+        (["study", "embar", "-p", "4,-1"], "processor counts must be >= 1"),
+        (["bench", "--repeats", "0"], "--repeats must be >= 1"),
+        (["bench", "--scale", "0"], "--scale must be a finite number > 0"),
+        (["bench", "--scale", "nan"], "--scale must be a finite number > 0"),
+    ],
+    ids=[
+        "trace-n",
+        "machine-n",
+        "study-zero",
+        "study-negative",
+        "bench-repeats",
+        "bench-scale-zero",
+        "bench-scale-nan",
+    ],
+)
+def test_nonpositive_sizes_exit_2(argv, flag, capsys):
+    assert main(argv) == 2
+    assert flag in one_error_line(capsys)

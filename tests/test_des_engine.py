@@ -30,18 +30,6 @@ def test_timeout_advances_clock():
     assert log == [5.0, 7.5]
 
 
-def test_run_until_time_stops_clock_exactly():
-    env = Environment()
-
-    def proc(env):
-        while True:
-            yield env.timeout(10)
-
-    env.process(proc(env))
-    env.run(until=25.0)
-    assert env.now == 25.0
-
-
 def test_run_until_event_returns_value():
     env = Environment()
 
@@ -50,15 +38,9 @@ def test_run_until_event_returns_value():
         return "answer"
 
     p = env.process(proc(env))
-    assert env.run(p) == "answer"
+    assert env.run(p) is True
+    assert p.value == "answer"
     assert env.now == 3.0
-
-
-def test_run_until_past_time_rejected():
-    env = Environment()
-    env.run(until=5.0)
-    with pytest.raises(ValueError):
-        env.run(until=1.0)
 
 
 def test_run_until_event_deadlock_detected():
@@ -97,13 +79,6 @@ def test_fifo_order_at_same_time():
     assert log == list("abcd")
 
 
-def test_peek():
-    env = Environment()
-    assert env.peek() == float("inf")
-    env.timeout(4)
-    assert env.peek() == 4.0
-
-
 def test_processed_event_count():
     env = Environment()
     for _ in range(5):
@@ -137,7 +112,9 @@ def test_process_waits_on_process():
         value = yield env.process(inner(env))
         return value + 1
 
-    assert env.run(env.process(outer(env))) == 43
+    p = env.process(outer(env))
+    env.run(p)
+    assert p.value == 43
 
 
 # -- same-time ordering contract (pinned before/after the fast path) -----
@@ -186,7 +163,7 @@ def test_process_start_beats_same_time_events():
 
 
 def test_run_batched_matches_step_ordering():
-    """run_batched must process events in exactly step() order."""
+    """run() must process events in exactly step() order."""
 
     def build():
         env = Environment()
@@ -205,7 +182,7 @@ def test_run_batched_matches_step_ordering():
     while env_a._queue:
         env_a.step()
     env_b, log_b = build()
-    env_b.run_batched()
+    env_b.run()
     assert log_a == log_b
     assert env_a.processed_event_count == env_b.processed_event_count
 
@@ -214,9 +191,9 @@ def test_run_batched_max_events_budget():
     env = Environment()
     for _ in range(10):
         env.timeout(1)
-    assert env.run_batched(max_events=4) is False
+    assert env.run(max_events=4) is False
     assert env.processed_event_count == 4
-    assert env.run_batched() is True
+    assert env.run() is True
     assert env.processed_event_count == 10
 
 
@@ -225,7 +202,7 @@ def test_run_batched_until_event():
     first = env.timeout(1)
     target = env.timeout(5)
     env.timeout(9)
-    assert env.run_batched(target) is True
+    assert env.run(target) is True
     assert target.processed and env.now == 5.0
     assert first.processed
     assert env.processed_event_count == 2
@@ -236,18 +213,20 @@ def test_run_batched_deadlock():
     pending = env.event()  # never fires
     env.timeout(1)
     with pytest.raises(Deadlock, match="deadlock"):
-        env.run_batched(pending)
+        env.run(pending)
 
 
 def test_run_until_event_leaves_no_stale_callback():
-    """run(until=event) must detach its internal waiter on every exit
-    path, so the sentinel can be inspected or awaited again."""
+    """run(until=event) leaves no waiter behind on any exit path, so the
+    event can be inspected or awaited again."""
     env = Environment()
     ev = env.timeout(3, value="v")
-    assert env.run(ev) == "v"
+    env.run(ev)
+    assert ev.value == "v"
     assert ev.callbacks == []
     # Running to the same (already processed) event again is a no-op.
-    assert env.run(ev) == "v"
+    assert env.run(ev) is True
+    assert ev.value == "v"
 
     # The deadlock path must also clean up after itself.
     pending = env.event()
@@ -260,7 +239,8 @@ def test_run_until_event_leaves_no_stale_callback():
         pending.succeed("late")
 
     env.process(trigger(env))
-    assert env.run(pending) == "late"
+    env.run(pending)
+    assert pending.value == "late"
 
 
 def test_run_until_failed_event_raises_once_detached():
@@ -288,8 +268,6 @@ def test_profiling_counters():
     assert counters.events_by_type["Initialize"] == 1
     assert counters.heap_peak >= 1
     assert counters.callbacks_fired >= 5
-    assert env.disable_profiling() is counters
-    assert env.profile is None
 
 
 def test_profiled_run_identical_to_fast_path():

@@ -47,7 +47,8 @@ def test_failed_event_thrown_into_waiter():
     ev = env.event()
     p = env.process(proc(env, ev))
     ev.fail(ValueError("boom"))
-    assert env.run(p) == "caught boom"
+    env.run(p)
+    assert p.value == "caught boom"
 
 
 def test_unhandled_failure_surfaces():
@@ -92,7 +93,7 @@ def test_empty_condition_fires_immediately():
 def test_condition_with_already_processed_child():
     env = Environment()
     a = env.timeout(1)
-    env.run(until=2.0)
+    env.run(env.timeout(2.0))
     cond = AnyOf(env, [a, env.timeout(10)])
     assert cond.triggered
 
@@ -109,5 +110,5 @@ def test_condition_propagates_failure():
     cond = AllOf(env, [bad, env.timeout(5)])
     cond.defused = True
     bad.fail(RuntimeError("child failed"))
-    env.run(until=10.0)
+    env.run(env.timeout(10.0))
     assert cond.triggered and not cond.ok

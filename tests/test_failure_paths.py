@@ -1,4 +1,5 @@
-"""Existing failure paths: deadlock, runaway guard, machine deadlock.
+"""Existing failure paths: deadlock, runaway guard, machine and
+multithread deadlock.
 
 These paths predate the fault-injection subsystem but were largely
 untested; a robustness layer is only as good as the diagnoses under it.
@@ -8,11 +9,14 @@ import pytest
 
 from repro.core import presets
 from repro.core.pipeline import measure
-from repro.core.translation import translate
+from repro.core.translation import TranslatedProgram, translate
 from repro.des import Deadlock, Environment, SimulationStalled
 from repro.machine import Machine
 from repro.pcxx import Collection, make_distribution
+from repro.sim.multithread import simulate_multithreaded
 from repro.sim.simulator import Simulator
+from repro.trace.events import EventKind, TraceEvent
+from repro.trace.trace import ThreadTrace, TraceMeta
 
 
 def simple_program(n, work_us=1000.0, iters=2):
@@ -99,6 +103,30 @@ def test_machine_deadlock_names_stuck_nodes():
     m = Machine(2)
     with pytest.raises(RuntimeError, match="machine deadlocked"):
         m.run(factory)
+
+
+def test_multithread_deadlock_names_stuck_threads():
+    """One thread skips the barrier: the multithread simulator names the
+    threads left waiting instead of hanging or leaking a bare Deadlock."""
+
+    def thread(tid, barrier):
+        events = [TraceEvent(0.0, tid, EventKind.THREAD_BEGIN)]
+        if barrier:
+            events += [
+                TraceEvent(10.0, tid, EventKind.BARRIER_ENTER, barrier_id=0),
+                TraceEvent(10.0, tid, EventKind.BARRIER_EXIT, barrier_id=0),
+            ]
+        events.append(TraceEvent(20.0, tid, EventKind.THREAD_END))
+        return ThreadTrace(tid, events)
+
+    tp = TranslatedProgram(
+        TraceMeta(program="skip", n_threads=3),
+        [thread(0, True), thread(1, False), thread(2, True)],
+    )
+    with pytest.raises(RuntimeError) as exc_info:
+        simulate_multithreaded(tp, presets.distributed_memory(), 2)
+    assert exc_info.type is RuntimeError  # not the engine's Deadlock
+    assert str(exc_info.value) == "multithread deadlock; threads [0, 2] stuck"
 
 
 def test_simulation_stalled_carries_structured_diagnosis():

@@ -36,9 +36,9 @@ def test_delivery_after_transit():
     )
     transit = net.send(Message(MsgKind.REQUEST, src=0, dst=2, nbytes=100))
     assert transit == pytest.approx(10.0)
-    env.run(until=9.9)
+    env.run(env.timeout(9.9))
     assert inboxes[2] == []
-    env.run(until=10.1)
+    env.run(env.timeout(0.2))  # to t=10.1
     assert len(inboxes[2]) == 1
 
 
